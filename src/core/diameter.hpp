@@ -16,6 +16,7 @@
 #include "core/cluster.hpp"
 #include "core/clustering.hpp"
 #include "graph/graph.hpp"
+#include "par/thread_pool.hpp"
 
 namespace gclus {
 
@@ -63,8 +64,10 @@ struct DiameterApprox {
     const Graph& g, std::uint32_t tau, const DiameterOptions& options = {});
 
 /// Same pipeline, but reusing an already-computed clustering (lets benches
-/// time the phases separately and tests inject crafted clusterings).
+/// time the phases separately and tests inject crafted clusterings).  The
+/// weighted quotient diameter runs on `pool`.
 [[nodiscard]] DiameterApprox diameter_from_clustering(
-    const Graph& g, const Clustering& clustering);
+    const Graph& g, const Clustering& clustering,
+    ThreadPool& pool = ThreadPool::global());
 
 }  // namespace gclus

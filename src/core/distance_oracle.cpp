@@ -45,7 +45,8 @@ OracleBuild DistanceOracle::build_full(const Graph& g,
   oracle.cluster_of_ = out.clustering.assignment;
   oracle.dist_to_center_ = out.clustering.dist_to_center;
   // The dense APSP is the deliberate O(k²) cost; cap via apsp_matrix.
-  oracle.apsp_ = apsp_matrix(out.quotient, /*max_nodes=*/40000);
+  oracle.apsp_ = apsp_matrix(out.quotient, /*max_nodes=*/40000,
+                             options.pool_or_global());
 
   options.emit("oracle.tau", static_cast<double>(tau));
   options.emit("oracle.quotient_nodes",

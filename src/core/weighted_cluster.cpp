@@ -243,7 +243,8 @@ WeightedDiameterApprox approximate_weighted_diameter(
   out.max_hop_radius = c.max_hop_radius();
   out.quotient_nodes = k;
   out.quotient_edges = quotient.num_edges();
-  out.weighted_quotient_diameter = weighted_diameter_exact(quotient);
+  out.weighted_quotient_diameter =
+      weighted_diameter_exact(quotient, options.pool_or_global());
   out.upper_bound =
       2 * out.max_weighted_radius + out.weighted_quotient_diameter;
   return out;

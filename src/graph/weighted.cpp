@@ -1,8 +1,10 @@
 #include "graph/weighted.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 #include <tuple>
+
+#include "par/parallel_for.hpp"
 
 namespace gclus {
 
@@ -63,25 +65,46 @@ WeightedGraph WeightedGraph::from_unit_weights(const Graph& g) {
   return from_edges(g.num_nodes(), std::move(edges));
 }
 
-std::vector<Weight> dijkstra(const WeightedGraph& g, NodeId source) {
-  GCLUS_CHECK(source < g.num_nodes());
-  std::vector<Weight> dist(g.num_nodes(), kInfWeight);
-  using Item = std::pair<Weight, NodeId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+namespace {
+
+using HeapItem = std::pair<Weight, NodeId>;
+
+/// Sources per chunk in the per-source sweeps.  One Dijkstra on a quotient
+/// of thousands of nodes dwarfs a chunk grab, and small chunks keep the
+/// tail balanced: kDefaultGrain would cut ~2k sources into 2-3 chunks.
+constexpr std::size_t kSourceGrain = 8;
+
+/// Binary-heap Dijkstra writing distances into `dist` (length n, pre-filled
+/// with kInfWeight).  `heap` is caller-owned scratch, reused across sources.
+void dijkstra_into(const WeightedGraph& g, NodeId source,
+                   std::span<Weight> dist, std::vector<HeapItem>& heap) {
+  constexpr std::greater<> kMinHeap;
+  heap.clear();
   dist[source] = 0;
-  pq.emplace(0, source);
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
+  heap.emplace_back(0, source);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), kMinHeap);
+    const auto [d, u] = heap.back();
+    heap.pop_back();
     if (d != dist[u]) continue;  // stale entry
     for (const auto& [v, w] : g.neighbors(u)) {
       const Weight nd = d + w;
       if (nd < dist[v]) {
         dist[v] = nd;
-        pq.emplace(nd, v);
+        heap.emplace_back(nd, v);
+        std::push_heap(heap.begin(), heap.end(), kMinHeap);
       }
     }
   }
+}
+
+}  // namespace
+
+std::vector<Weight> dijkstra(const WeightedGraph& g, NodeId source) {
+  GCLUS_CHECK(source < g.num_nodes());
+  std::vector<Weight> dist(g.num_nodes(), kInfWeight);
+  std::vector<HeapItem> heap;
+  dijkstra_into(g, source, dist, heap);
   return dist;
 }
 
@@ -94,12 +117,27 @@ Weight weighted_eccentricity(const WeightedGraph& g, NodeId source) {
   return ecc;
 }
 
-Weight weighted_diameter_exact(const WeightedGraph& g) {
-  Weight diam = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    diam = std::max(diam, weighted_eccentricity(g, v));
-  }
-  return diam;
+Weight weighted_diameter_exact(const WeightedGraph& g, ThreadPool& pool) {
+  const NodeId n = g.num_nodes();
+  std::vector<Weight> ecc(n, 0);
+  parallel_for_chunks(
+      pool, 0, n,
+      [&](std::size_t lo, std::size_t hi) {
+        std::vector<Weight> dist(n, kInfWeight);
+        std::vector<HeapItem> heap;
+        for (std::size_t v = lo; v < hi; ++v) {
+          dijkstra_into(g, static_cast<NodeId>(v), dist, heap);
+          // One pass reads the eccentricity and resets the scratch.
+          Weight e = 0;
+          for (Weight& d : dist) {
+            if (d != kInfWeight) e = std::max(e, d);
+            d = kInfWeight;
+          }
+          ecc[v] = e;
+        }
+      },
+      kSourceGrain);
+  return n == 0 ? 0 : *std::max_element(ecc.begin(), ecc.end());
 }
 
 namespace {
@@ -131,21 +169,27 @@ void dijkstra_small_into(const WeightedGraph& g, NodeId source,
 
 }  // namespace
 
-std::vector<Weight> apsp_matrix(const WeightedGraph& g, NodeId max_nodes) {
+std::vector<Weight> apsp_matrix(const WeightedGraph& g, NodeId max_nodes,
+                                ThreadPool& pool) {
   const NodeId n = g.num_nodes();
   GCLUS_CHECK(n <= max_nodes,
               "apsp_matrix: quotient graph too large for dense APSP");
   std::vector<Weight> mat(static_cast<std::size_t>(n) * n, kInfWeight);
-  for (NodeId v = 0; v < n; ++v) {
-    const std::span<Weight> row{mat.data() + static_cast<std::size_t>(v) * n,
-                                n};
-    if (n <= kApspSmallGraphNodes) {
-      dijkstra_small_into(g, v, row);
-    } else {
-      const auto dist = dijkstra(g, v);
-      std::copy(dist.begin(), dist.end(), row.begin());
-    }
-  }
+  parallel_for_chunks(
+      pool, 0, n,
+      [&](std::size_t lo, std::size_t hi) {
+        std::vector<HeapItem> heap;
+        for (std::size_t v = lo; v < hi; ++v) {
+          const std::span<Weight> row{mat.data() + v * n, n};
+          const auto source = static_cast<NodeId>(v);
+          if (n <= kApspSmallGraphNodes) {
+            dijkstra_small_into(g, source, row);
+          } else {
+            dijkstra_into(g, source, row, heap);
+          }
+        }
+      },
+      kSourceGrain);
   return mat;
 }
 

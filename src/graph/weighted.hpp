@@ -2,8 +2,12 @@
 //
 // The decomposition pipeline only needs weights on the *quotient* graph
 // (§4: edge weight = shortest inter-cluster connection length), which is
-// orders of magnitude smaller than the input graph, so this module favors
-// clarity over large-scale performance.
+// orders of magnitude smaller than the input graph.  Its two exact solves,
+// weighted_diameter_exact and apsp_matrix, still run one Dijkstra per
+// source, so they spread the sources over a ThreadPool.  Distances are
+// exact, so both results are bit-identical for every thread count.  Called
+// from one of the pool's own workers (an MR reducer on the global pool,
+// say) they run serially — see par/parallel_for.hpp.
 #pragma once
 
 #include <span>
@@ -12,6 +16,7 @@
 #include "common/check.hpp"
 #include "common/types.hpp"
 #include "graph/graph.hpp"
+#include "par/thread_pool.hpp"
 
 namespace gclus {
 
@@ -72,23 +77,27 @@ class WeightedGraph {
 [[nodiscard]] Weight weighted_eccentricity(const WeightedGraph& g,
                                            NodeId source);
 
-/// Weighted diameter by running Dijkstra from every node.  Intended for
-/// quotient graphs (thousands of nodes), not raw inputs.
-[[nodiscard]] Weight weighted_diameter_exact(const WeightedGraph& g);
+/// Weighted diameter (max finite eccentricity) by running Dijkstra from
+/// every node, the sources split across `pool`.  Intended for quotient
+/// graphs (thousands of nodes), not raw inputs.
+[[nodiscard]] Weight weighted_diameter_exact(
+    const WeightedGraph& g, ThreadPool& pool = ThreadPool::global());
 
 /// Below this node count apsp_matrix skips the binary heap and runs
-/// linear-scan Dijkstra straight over its output row: for tiny quotient
-/// graphs (deep meshes and paths decompose into a handful of clusters)
-/// the O(n²) scan beats heap traffic and allocation, and the matrix row
-/// doubles as the tentative-distance array so the sweep allocates nothing
-/// per source.  Distances are exact either way — only the schedule
-/// changes — so results are bit-identical across the two paths.
+/// linear-scan Dijkstra: for tiny quotient graphs (deep meshes and paths
+/// decompose into a handful of clusters) the O(n²) scan beats heap
+/// traffic.  Both paths use the matrix row as the tentative-distance
+/// array.  Distances are exact either way — only the schedule changes —
+/// so results are bit-identical across the two paths.
 inline constexpr NodeId kApspSmallGraphNodes = 64;
 
 /// All-pairs shortest paths as a dense n×n matrix (row-major).  The
 /// distance-oracle construction of §4 stores exactly this for the quotient
-/// graph; n is capped to keep the O(n²) memory deliberate.
-[[nodiscard]] std::vector<Weight> apsp_matrix(const WeightedGraph& g,
-                                              NodeId max_nodes = 20000);
+/// graph; n is capped to keep the O(n²) memory deliberate.  Rows are
+/// filled in place, the sources split across `pool`; unreachable entries
+/// stay kInfWeight.
+[[nodiscard]] std::vector<Weight> apsp_matrix(
+    const WeightedGraph& g, NodeId max_nodes = 20000,
+    ThreadPool& pool = ThreadPool::global());
 
 }  // namespace gclus

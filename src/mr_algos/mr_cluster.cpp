@@ -232,6 +232,8 @@ MrDiameterResult mr_cluster_diameter(mr::Engine& engine, const Graph& g,
 
   // --- Final round: the whole quotient lands on one reducer, which
   // solves the weighted diameter locally (Theorem 4's small-|E_C| case).
+  // The reducer runs on one of the engine's workers, so the solve runs
+  // serially there (par/parallel_for.hpp's nesting rule).
   Weight quotient_diameter = 0;
   std::vector<std::pair<std::uint8_t, std::uint64_t>> gather;
   gather.reserve(reduced.size());
@@ -240,7 +242,7 @@ MrDiameterResult mr_cluster_diameter(mr::Engine& engine, const Graph& g,
       std::move(gather),
       [&](const std::uint8_t&, std::span<std::uint64_t>,
           mr::Emitter<std::uint8_t, std::uint8_t>&) {
-        quotient_diameter = weighted_diameter_exact(quotient);
+        quotient_diameter = weighted_diameter_exact(quotient, engine.pool());
       });
 
   out.max_radius = c.max_radius();

@@ -4,6 +4,13 @@
 // space from a shared atomic cursor.  Chunk size defaults to a value that
 // amortizes the atomic while keeping tail imbalance small for irregular
 // per-item cost (frontier expansion, per-node degree work).
+//
+// Nesting rule: every helper here runs its whole range inline on the
+// caller when the pool has one thread or when the caller is one of the
+// pool's own workers (see ThreadPool::on_worker_thread).  A kernel built
+// on these helpers may therefore be called from inside a parallel region
+// of the same pool: it runs serially there and uses every worker at top
+// level, with the same result either way.
 #pragma once
 
 #include <algorithm>
@@ -17,6 +24,11 @@ namespace gclus {
 
 inline constexpr std::size_t kDefaultGrain = 1024;
 
+/// True when work dispatched on `pool` from this thread must run inline.
+inline bool runs_inline(const ThreadPool& pool) {
+  return pool.num_threads() == 1 || pool.on_worker_thread();
+}
+
 /// Invokes body(i) for i in [begin, end) across the pool's workers.
 /// The body must not throw.
 template <typename Body>
@@ -24,7 +36,7 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const Body& body, std::size_t grain = kDefaultGrain) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
-  if (pool.num_threads() == 1 || n <= grain) {
+  if (runs_inline(pool) || n <= grain) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
@@ -53,7 +65,7 @@ void parallel_for_chunks(ThreadPool& pool, std::size_t begin, std::size_t end,
                          const Body& body, std::size_t grain = kDefaultGrain) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
-  if (pool.num_threads() == 1 || n <= grain) {
+  if (runs_inline(pool) || n <= grain) {
     body(begin, end);
     return;
   }
@@ -76,7 +88,7 @@ T parallel_reduce(ThreadPool& pool, std::size_t begin, std::size_t end, T init,
                   std::size_t grain = kDefaultGrain) {
   if (begin >= end) return init;
   const std::size_t n = end - begin;
-  if (pool.num_threads() == 1 || n <= grain) {
+  if (runs_inline(pool) || n <= grain) {
     T acc = init;
     for (std::size_t i = begin; i < end; ++i) acc = combine(acc, map(i));
     return acc;
@@ -152,7 +164,7 @@ void parallel_concat(ThreadPool& pool, const std::vector<std::vector<T>>& parts,
   for (std::size_t i = 0; i < parts.size(); ++i) offset[i] = parts[i].size();
   const std::size_t total = exclusive_prefix_sum(offset);
   out.resize(total);
-  if (pool.num_threads() == 1 || total <= kDefaultGrain) {
+  if (runs_inline(pool) || total <= kDefaultGrain) {
     for (std::size_t i = 0; i < parts.size(); ++i) {
       std::copy(parts[i].begin(), parts[i].end(), out.begin() + offset[i]);
     }
@@ -177,7 +189,7 @@ template <typename T, typename Pred>
 void parallel_compact(ThreadPool& pool, std::vector<T>& values,
                       const Pred& pred, std::size_t block = 4096) {
   const std::size_t n = values.size();
-  if (pool.num_threads() == 1 || n <= block) {
+  if (runs_inline(pool) || n <= block) {
     values.erase(std::remove_if(values.begin(), values.end(),
                                 [&](const T& v) { return !pred(v); }),
                  values.end());

@@ -6,6 +6,13 @@
 
 namespace gclus {
 
+namespace {
+
+/// The pool whose worker_loop runs on this thread; null off the workers.
+thread_local const ThreadPool* t_worker_of = nullptr;
+
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t num_threads)
     : num_threads_(num_threads == 0 ? 1 : num_threads) {
   if (num_threads_ == 1) return;  // inline mode: no worker threads at all
@@ -43,7 +50,10 @@ void ThreadPool::run_on_workers(const std::function<void(std::size_t)>& fn) {
   job_ = nullptr;
 }
 
+bool ThreadPool::on_worker_thread() const { return t_worker_of == this; }
+
 void ThreadPool::worker_loop(std::size_t index) {
+  t_worker_of = this;
   std::size_t seen_epoch = 0;
   for (;;) {
     const std::function<void(std::size_t)>* job;

@@ -10,6 +10,14 @@
 // overridable with the GCLUS_THREADS environment variable) serves all
 // library kernels; tests construct private pools to exercise specific
 // worker counts.
+//
+// Nesting: a pool's workers are busy for the whole of a job, so a job that
+// dispatches again on the *same* pool can never be served.  The index-space
+// helpers of par/parallel_for.hpp therefore check on_worker_thread() and run
+// inline when called from one of the pool's own workers (a kernel that is
+// parallel at top level is serial inside another parallel region of its
+// pool).  Raw nested run_on_workers on the same pool still aborts.  Calls
+// on a *different* pool dispatch as usual.
 #pragma once
 
 #include <condition_variable>
@@ -38,6 +46,10 @@ class ThreadPool {
   /// size 1) and blocks until all invocations return.  `fn` must be safe to
   /// call concurrently from distinct threads.
   void run_on_workers(const std::function<void(std::size_t)>& fn);
+
+  /// True when the calling thread is one of this pool's workers, i.e. it
+  /// is inside a run_on_workers job of this pool.
+  [[nodiscard]] bool on_worker_thread() const;
 
   /// Process-wide pool.  First call creates it; sizing honours
   /// GCLUS_THREADS if set, else hardware_concurrency (min 1).

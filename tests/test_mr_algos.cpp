@@ -16,6 +16,7 @@
 #include "mr_algos/mr_cluster.hpp"
 #include "mr_algos/mr_hadi.hpp"
 #include "mr_algos/mr_mpx.hpp"
+#include "par/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace gclus::mr_algos {
@@ -379,6 +380,29 @@ TEST(MrClusterDiameter, MatchesSharedMemoryPipelineEstimate) {
   EXPECT_EQ(mr_result.quotient_nodes, shared.quotient_nodes);
   EXPECT_EQ(mr_result.quotient_edges, shared.quotient_edges);
   EXPECT_EQ(mr_result.max_radius, shared.max_radius);
+}
+
+TEST(MrClusterDiameter, SolveInsideGlobalPoolReducerMatchesTopLevelSolve) {
+  // A default engine reduces on the global pool's workers, so the final
+  // round's quotient solve is a nested call on that pool: it must run
+  // inline there (a nested dispatch would abort) and agree with the
+  // pool-parallel solve of the shared-memory pipeline.
+  if (ThreadPool::global().num_threads() == 1) {
+    GTEST_SKIP() << "needs a multi-thread global pool";
+  }
+  const Graph g = gen::road_like(40, 40, 0.08, 0.02, 7);
+  mr::Engine engine;
+  ASSERT_EQ(&engine.pool(), &ThreadPool::global());
+  MrClusterOptions mopts;
+  mopts.seed = 9;
+  const MrDiameterResult r = mr_cluster_diameter(engine, g, 2, mopts);
+
+  ClusterOptions copts;
+  copts.seed = 9;
+  const DiameterApprox shared =
+      diameter_from_clustering(g, cluster(g, 2, copts));
+  EXPECT_GT(r.quotient_nodes, 64u);  // many chunks of sources
+  EXPECT_EQ(r.estimate, shared.upper_bound);
 }
 
 }  // namespace

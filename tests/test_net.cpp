@@ -390,8 +390,14 @@ TEST(NetServer, ConcurrentClientsEachGetByteIdenticalAnswers) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(h.nserver->stats().results_sent,
-            static_cast<std::uint64_t>(kClients * kBatches));
+  // Same race as above: the last reply can reach its client before the
+  // connection thread counts it.
+  constexpr auto kExpected = static_cast<std::uint64_t>(kClients * kBatches);
+  for (int i = 0; i < 100 && h.nserver->stats().results_sent < kExpected;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(h.nserver->stats().results_sent, kExpected);
 }
 
 TEST(NetServer, MalformedFrameClosesOnlyThatConnection) {

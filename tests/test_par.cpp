@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "par/parallel_for.hpp"
@@ -117,6 +118,111 @@ TEST(ThreadPool, GlobalPoolIsSingleton) {
   ThreadPool& b = ThreadPool::global();
   EXPECT_EQ(&a, &b);
   EXPECT_GE(a.num_threads(), 1u);
+}
+
+TEST(ThreadPool, OnWorkerThreadOnlyInsideItsOwnJobs) {
+  ThreadPool pool(3);
+  ThreadPool other(2);
+  EXPECT_FALSE(pool.on_worker_thread());
+  std::atomic<int> own{0};
+  std::atomic<int> foreign{0};
+  pool.run_on_workers([&](std::size_t) {
+    own.fetch_add(pool.on_worker_thread() ? 1 : 0);
+    foreign.fetch_add(other.on_worker_thread() ? 1 : 0);
+  });
+  EXPECT_EQ(own.load(), 3);
+  EXPECT_EQ(foreign.load(), 0);
+  EXPECT_FALSE(pool.on_worker_thread());
+}
+
+// ---- nesting ---------------------------------------------------------------
+
+constexpr std::size_t kNestN = 5000;
+constexpr std::size_t kNestGrain = 16;  // many chunks: dispatches at top level
+constexpr std::uint64_t kNestSum =
+    static_cast<std::uint64_t>(kNestN) * (kNestN - 1) / 2;
+
+/// What one caller observed running the three index-space helpers.
+struct NestedRun {
+  std::uint64_t for_sum = 0;
+  std::uint64_t chunk_sum = 0;
+  std::uint64_t reduce_sum = 0;
+  bool all_on_caller = true;
+};
+
+NestedRun run_helpers(ThreadPool& pool) {
+  NestedRun r;
+  const auto caller = std::this_thread::get_id();
+  std::atomic<std::uint64_t> for_sum{0};
+  std::atomic<std::uint64_t> chunk_sum{0};
+  std::atomic<bool> all_on_caller{true};
+  const auto note_thread = [&] {
+    if (std::this_thread::get_id() != caller) all_on_caller.store(false);
+  };
+  parallel_for(
+      pool, 0, kNestN,
+      [&](std::size_t i) {
+        note_thread();
+        for_sum.fetch_add(i, std::memory_order_relaxed);
+      },
+      kNestGrain);
+  parallel_for_chunks(
+      pool, 0, kNestN,
+      [&](std::size_t lo, std::size_t hi) {
+        note_thread();
+        for (std::size_t i = lo; i < hi; ++i) {
+          chunk_sum.fetch_add(i, std::memory_order_relaxed);
+        }
+      },
+      kNestGrain);
+  r.reduce_sum = parallel_reduce<std::uint64_t>(
+      pool, 0, kNestN, 0,
+      [&](std::size_t i) {
+        note_thread();
+        return static_cast<std::uint64_t>(i);
+      },
+      [](std::uint64_t a, std::uint64_t b) { return a + b; }, kNestGrain);
+  r.for_sum = for_sum.load();
+  r.chunk_sum = chunk_sum.load();
+  r.all_on_caller = all_on_caller.load();
+  return r;
+}
+
+TEST(ParallelNesting, SamePoolRunsInlineWithSerialResult) {
+  ThreadPool pool(4);
+  std::vector<NestedRun> runs(pool.num_threads());
+  pool.run_on_workers([&](std::size_t w) { runs[w] = run_helpers(pool); });
+  for (std::size_t w = 0; w < runs.size(); ++w) {
+    EXPECT_TRUE(runs[w].all_on_caller) << "worker " << w;
+    EXPECT_EQ(runs[w].for_sum, kNestSum) << "worker " << w;
+    EXPECT_EQ(runs[w].chunk_sum, kNestSum) << "worker " << w;
+    EXPECT_EQ(runs[w].reduce_sum, kNestSum) << "worker " << w;
+  }
+}
+
+TEST(ParallelNesting, OtherPoolStillDispatches) {
+  ThreadPool outer(2);
+  ThreadPool inner(4);
+  // A pool serves one job at a time, so only one outer worker uses it.
+  NestedRun run;
+  outer.run_on_workers([&](std::size_t w) {
+    if (w == 0) run = run_helpers(inner);
+  });
+  EXPECT_FALSE(run.all_on_caller);  // the bodies ran on inner's workers
+  EXPECT_EQ(run.for_sum, kNestSum);
+  EXPECT_EQ(run.chunk_sum, kNestSum);
+  EXPECT_EQ(run.reduce_sum, kNestSum);
+}
+
+TEST(ThreadPoolDeathTest, RawNestedRunOnWorkersStillAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(2);
+        pool.run_on_workers(
+            [&](std::size_t) { pool.run_on_workers([](std::size_t) {}); });
+      },
+      "nested run_on_workers");
 }
 
 TEST(AtomicFetchMin, LowersMonotonically) {
